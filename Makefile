@@ -2,8 +2,8 @@
 
 .PHONY: install test docstrings bench bench-search bench-search-parallel \
 	bench-frontier campaign bench-campaign bench-corpus bench-sim \
-	bench-sim-quick bench-monitor bench-service monitor-smoke \
-	serve-smoke examples all
+	bench-sim-quick bench-monitor bench-service bench-smoke \
+	monitor-smoke serve-smoke examples all
 
 install:
 	pip install -e . || python setup.py develop
@@ -53,6 +53,9 @@ bench-monitor:
 
 bench-service:
 	PYTHONPATH=src python benchmarks/bench_service.py --check
+
+bench-smoke:
+	python tools/perfbench_smoke.py --seconds 4
 
 monitor-smoke:
 	PYTHONPATH=src python tools/monitor_smoke.py

@@ -28,7 +28,18 @@ Complexity: without the cache, one marginal performability evaluation
 costs ``O(sum_x Y_x)`` M/G/1 evaluations *per candidate*; with the
 cache, the whole search computes each of the ``sum_x max(Y_x)`` distinct
 curve points exactly once, so ``C`` candidates drop from ``O(C *
-sum_x Y_x)`` to ``O(sum_x Y_x + C)`` waiting-time evaluations.
+sum_x Y_x)`` to ``O(sum_x Y_x + C)`` waiting-time evaluations.  On top
+of the curves and marginals sits a *row table*: per evaluator policy,
+per server type and per replica count ``n``, the row
+:class:`~repro.core.goals.GoalEvaluator` folds into an assessment (the
+pool's availability and ``pi_0``, the utilization, and the degraded
+expected waiting time, finite mass and failure-free waiting time).  A
+row is built once from one pool lookup and one curve lookup, so a
+candidate costs ``k`` row-table lookups and a fold of ``k`` rows instead
+of rebuilding the availability and performability models; the curve
+and pool-marginal caches are consulted only when a row is built.  Rows
+are memoized only while the cache is enabled and are dropped together
+with the curves and marginals they were built from.
 """
 
 from __future__ import annotations
@@ -159,6 +170,11 @@ class EvaluationCache:
         #: n = 0..len-1; grown monotonically, never evicted (a curve
         #: holds one float per admissible replica count).
         self._curves: dict[str, list[float]] = {}
+        #: Per-type assessment rows, evaluator policy key -> one
+        #: ``{replica count: row}`` table per server type (index order);
+        #: built by :class:`~repro.core.goals.GoalEvaluator` from the
+        #: pools and curves above and dropped whenever they may change.
+        self._rows: dict[Hashable, list[dict[int, Any]]] = {}
         self.curve_hits = 0
         self.curve_misses = 0
         self.curve_points_computed = 0
@@ -196,6 +212,7 @@ class EvaluationCache:
         self._assessments.clear()
         self._pools.clear()
         self._curves.clear()
+        self._rows.clear()
 
     def invalidate(self, reason: str = "") -> None:
         """Drop everything — including the model fingerprint — on drift.
@@ -308,6 +325,9 @@ class EvaluationCache:
 
         assessments_dropped = len(self._assessments)
         self._assessments.clear()
+        # Rows fold curves and marginals; rebuild them from the
+        # survivors rather than sort out which ones still hold.
+        self._rows.clear()
 
         self._fingerprint = fingerprint
         self.rebinds += 1
@@ -329,7 +349,7 @@ class EvaluationCache:
         }
 
     def clear_assessments(self) -> int:
-        """Drop cached goal assessments, keeping curves and marginals.
+        """Drop cached goal assessments, keeping curves, marginals and rows.
 
         The recommendation pipeline calls this before every published
         search so its ``evaluations`` accounting matches a cold run
@@ -355,6 +375,28 @@ class EvaluationCache:
         """Cache a goal assessment under ``key`` (no-op when disabled)."""
         if self.enabled:
             self._assessments.put(key, value)
+
+    # ------------------------------------------------------------------
+    # Per-type assessment rows
+    # ------------------------------------------------------------------
+    def assessment_rows(
+        self, policy_key: Hashable, num_types: int
+    ) -> list[dict[int, Any]]:
+        """The per-type row tables of one evaluator policy.
+
+        One ``{replica count: row}`` mapping per server type, in index
+        order.  Memoized across assessments (and evaluators sharing this
+        cache) while the cache is enabled; a disabled cache hands out
+        fresh empty tables on every call, so each assessment rebuilds
+        its rows from freshly solved pools and freshly computed curves.
+        """
+        if not self.enabled:
+            return [{} for _ in range(num_types)]
+        tables = self._rows.get(policy_key)
+        if tables is None:
+            tables = [{} for _ in range(num_types)]
+            self._rows[policy_key] = tables
+        return tables
 
     # ------------------------------------------------------------------
     # Per-pool birth-death marginals
@@ -501,6 +543,11 @@ class EvaluationCache:
             "waiting_curve.hits": self.curve_hits,
             "waiting_curve.misses": self.curve_misses,
             "waiting_curve.points_computed": self.curve_points_computed,
+            "assessment_rows.size": sum(
+                len(table)
+                for tables in self._rows.values()
+                for table in tables
+            ),
             "evictions": self._assessments.evictions + self._pools.evictions,
             "rebinds": self.rebinds,
         }

@@ -15,15 +15,18 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
+
 from repro import obs
-from repro.core.availability import AvailabilityModel, RepairPolicy
+from repro.core.availability import RepairPolicy, ServerPoolAvailability
 from repro.core.evaluation_cache import EvaluationCache, model_fingerprint
 from repro.core.model_types import ServerTypeIndex
 from repro.core.performance import PerformanceModel, SystemConfiguration
 from repro.core.performability import (
     DegradedStatePolicy,
-    PerformabilityModel,
     PerformabilityReport,
+    degraded_waiting_time,
+    validate_degraded_policy,
 )
 from repro.exceptions import ValidationError
 
@@ -226,17 +229,62 @@ class GoalAssessment:
         )
 
 
+class _TypeRow:
+    """One server type's share of an assessment at one replica count.
+
+    Every number of a :class:`GoalAssessment` factors per server type,
+    and each factor depends only on that type's replica count ``n``:
+    the pool's availability and ``pi_0`` (Section 5), the per-replica
+    utilization, and — filled in on first need, since only waiting-time
+    goals require the curve — the degraded-policy expected waiting
+    time, its finite (operational and stable) mass, and the
+    failure-free waiting time (Section 6).
+    """
+
+    __slots__ = (
+        "pool",
+        "availability",
+        "unavailability",
+        "utilization",
+        "expected_waiting",
+        "finite_mass",
+        "failure_free_waiting",
+    )
+
+    def __init__(
+        self, pool: ServerPoolAvailability, utilization: float
+    ) -> None:
+        self.pool = pool
+        self.unavailability = pool.unavailability
+        self.availability = pool.availability
+        self.utilization = utilization
+        self.expected_waiting: float | None = None
+        self.finite_mass: float | None = None
+        self.failure_free_waiting: float | None = None
+
+
 class GoalEvaluator:
     """Evaluates configurations against performability goals.
 
-    Wires together the performance model (built once per workload), the
-    availability model (built per candidate configuration), and the
-    performability model.  Evaluation results are cached in an
+    Combines the performance model (built once per workload) with the
+    availability model (Section 5) and the performability model
+    (Section 6).  Both factor per server type, and each factor depends
+    only on that type's replica count, so an assessment is a fold of
+    ``k`` per-type rows — one table lookup per type — built once from
+    the cache's pool marginals and waiting-time curves.  The fold
+    repeats the float operations of
+    :meth:`~repro.core.availability.AvailabilityModel.unavailability`
+    and :meth:`~repro.core.performability.PerformabilityModel.expected_waiting_times`
+    in server-type index order, so every assessment is bitwise equal to
+    building those models for the candidate.
+
+    Evaluation results are cached in an
     :class:`~repro.core.evaluation_cache.EvaluationCache` keyed by the
     *values* of the configuration and the goals, which the iterating
     search of Section 7.2 relies on; passing a shared cache lets several
-    evaluators (e.g. one per search algorithm) reuse per-type waiting
-    curves, pool marginals, and whole assessments across searches.
+    evaluators (e.g. one per search algorithm) reuse rows, per-type
+    waiting curves, pool marginals, and whole assessments across
+    searches.
     """
 
     def __init__(
@@ -304,14 +352,19 @@ class GoalEvaluator:
 
         self.evaluation_count += 1
         obs.count("configuration.candidates_evaluated")
-        availability_model = AvailabilityModel(
-            self.server_types, configuration, policy=self.repair_policy,
-            cache=self.cache,
-        )
+        names = self.server_types.names
+        rows = self._rows(configuration, goals.has_performance_goal)
         violations: list[GoalViolation] = []
 
-        unavailability = availability_model.unavailability()
-        per_type = availability_model.per_type_unavailability()
+        # Product form over the independent pools, folded in index
+        # order like AvailabilityModel.unavailability("product").
+        availability = 1.0
+        for row in rows:
+            availability *= row.availability
+        unavailability = 1.0 - availability
+        per_type = {
+            name: row.unavailability for name, row in zip(names, rows)
+        }
         if goals.max_unavailability is not None:
             if unavailability > goals.max_unavailability:
                 violations.append(
@@ -336,14 +389,24 @@ class GoalEvaluator:
 
         performability_report: PerformabilityReport | None = None
         if goals.has_performance_goal:
-            performability = PerformabilityModel(
-                self.performance,
-                availability_model,
+            obs.count("performability.evaluations")
+            feasible_probability = 1.0
+            for row in rows:
+                feasible_probability *= row.finite_mass
+            performability_report = PerformabilityReport(
+                configuration=configuration,
+                expected_waiting_times={
+                    name: row.expected_waiting
+                    for name, row in zip(names, rows)
+                },
+                failure_free_waiting_times={
+                    name: row.failure_free_waiting
+                    for name, row in zip(names, rows)
+                },
+                feasible_probability=feasible_probability,
+                unavailability=unavailability,
                 policy=self.degraded_policy,
-                penalty_waiting_time=self.penalty_waiting_time,
-                cache=self.cache,
             )
-            performability_report = performability.expected_waiting_times()
             for name, value in (
                 performability_report.expected_waiting_times.items()
             ):
@@ -360,7 +423,6 @@ class GoalEvaluator:
 
         if violations:
             obs.count("configuration.goal_violations", len(violations))
-        utilizations = self.performance.utilizations(configuration)
         assessment = GoalAssessment(
             configuration=configuration,
             goals=goals,
@@ -369,12 +431,73 @@ class GoalEvaluator:
             unavailability=unavailability,
             per_type_unavailability=per_type,
             utilizations={
-                name: float(utilizations[i])
-                for i, name in enumerate(self.server_types.names)
+                name: row.utilization for name, row in zip(names, rows)
             },
         )
         self.cache.store_assessment(key, assessment)
         return assessment
+
+    def _rows(
+        self, configuration: SystemConfiguration, waiting: bool
+    ) -> list[_TypeRow]:
+        """The candidate's per-type rows, in server-type index order.
+
+        Builds missing rows from the cache's pool marginal and waiting
+        curve; ``waiting`` also fills the Section 6 fields.  Rows live
+        in the cache's row tables, which are memoized only while the
+        cache is enabled.
+        """
+        replicas = configuration.replicas
+        counts = [replicas.get(name, 0) for name in self.server_types.names]
+        if any(count < 1 for count in counts):
+            raise ValidationError(
+                "every server type needs at least one configured replica; "
+                f"got {configuration}"
+            )
+        if waiting:
+            validate_degraded_policy(
+                self.degraded_policy, self.penalty_waiting_time
+            )
+        tables = self.cache.assessment_rows(self._policy_key(), len(counts))
+        rows = []
+        for i, count in enumerate(counts):
+            row = tables[i].get(count)
+            if row is None:
+                row = self._new_row(i, count)
+                tables[i][count] = row
+            if waiting and row.finite_mass is None:
+                self._fill_waiting(row, i, count)
+            rows.append(row)
+        return rows
+
+    def _new_row(self, type_index: int, count: int) -> _TypeRow:
+        """Availability and utilization of one type at ``count`` replicas."""
+        spec = self.server_types.specs[type_index]
+        pool = self.cache.pool(spec, count, self.repair_policy)
+        total = float(self.performance.total_request_rates()[type_index])
+        # The per-replica rate times the mean service time, as in
+        # PerformanceModel.utilizations.
+        return _TypeRow(pool, total / count * spec.mean_service_time)
+
+    def _fill_waiting(
+        self, row: _TypeRow, type_index: int, count: int
+    ) -> None:
+        """Fill a row's Section 6 fields from the type's waiting curve."""
+        performance = self.performance
+
+        def compute(available: int) -> float:
+            return performance.waiting_time_for_count(type_index, available)
+
+        waits = self.cache.waiting_curve(
+            self.server_types.names[type_index], count, compute
+        )
+        marginal = np.asarray(row.pool.state_probabilities, dtype=float)
+        row.expected_waiting, row.finite_mass = degraded_waiting_time(
+            marginal, waits, self.degraded_policy, self.penalty_waiting_time
+        )
+        # w_x(count) is the failure-free waiting time: the curve point
+        # and PerformanceModel.waiting_times run the same float sequence.
+        row.failure_free_waiting = float(waits[count])
 
     def assess_many(
         self,

@@ -107,6 +107,50 @@ class PerformabilityReport:
         return "\n".join(lines)
 
 
+def validate_degraded_policy(
+    policy: DegradedStatePolicy, penalty_waiting_time: float | None
+) -> None:
+    """Reject a PENALTY policy without a positive penalty waiting time."""
+    if policy is DegradedStatePolicy.PENALTY:
+        if penalty_waiting_time is None or penalty_waiting_time <= 0.0:
+            raise ValidationError(
+                "PENALTY policy requires a positive penalty_waiting_time"
+            )
+
+
+def degraded_waiting_time(
+    marginal: np.ndarray,
+    waits: np.ndarray,
+    policy: DegradedStatePolicy,
+    penalty_waiting_time: float | None,
+) -> tuple[float, float]:
+    """Performability waiting time of one server type, and its finite mass.
+
+    ``marginal`` is the type's birth-death distribution over ``0..n``
+    running replicas and ``waits`` its waiting-time curve ``w_x(0..n)``.
+    Returns the policy's expectation of the curve under the marginal and
+    the probability mass on finite (operational and stable) pool sizes.
+    This is the whole per-type arithmetic of the marginal Section 6
+    expectation; :class:`PerformabilityModel` and the goal evaluator's
+    per-type assessment rows both call it, so the two cannot diverge.
+    """
+    finite = np.isfinite(waits)
+    finite_mass = float(marginal[finite].sum())
+    weighted = float(marginal[finite] @ waits[finite])
+    if policy is DegradedStatePolicy.CONDITIONAL:
+        if finite_mass <= 0.0:
+            return math.inf, finite_mass
+        return weighted / finite_mass, finite_mass
+    if policy is DegradedStatePolicy.PENALTY:
+        assert penalty_waiting_time is not None
+        infinite_mass = 1.0 - finite_mass
+        return weighted + infinite_mass * penalty_waiting_time, finite_mass
+    # INFINITE: any mass on an infinite entry makes the entry infinite.
+    if bool(np.any(marginal[~finite] > 0.0)):
+        return math.inf, finite_mass
+    return weighted, finite_mass
+
+
 class PerformabilityModel:
     """Combines the performance and availability models (Section 6)."""
 
@@ -123,11 +167,7 @@ class PerformabilityModel:
                 "performance and availability models must share the same "
                 "server type index"
             )
-        if policy is DegradedStatePolicy.PENALTY:
-            if penalty_waiting_time is None or penalty_waiting_time <= 0.0:
-                raise ValidationError(
-                    "PENALTY policy requires a positive penalty_waiting_time"
-                )
+        validate_degraded_policy(policy, penalty_waiting_time)
         self.performance = performance
         self.availability = availability
         self.policy = policy
@@ -228,26 +268,10 @@ class PerformabilityModel:
                 pools[name].state_probabilities, dtype=float
             )
             waits = self._waiting_curve(i, int(counts[i]))
-            finite = np.isfinite(waits)
-            finite_mass = float(marginal[finite].sum())
-            infinite_mass = 1.0 - finite_mass
-            weighted = float(marginal[finite] @ waits[finite])
+            expected[i], finite_mass = degraded_waiting_time(
+                marginal, waits, self.policy, self.penalty_waiting_time
+            )
             feasible_probability *= finite_mass
-            if self.policy is DegradedStatePolicy.CONDITIONAL:
-                if finite_mass <= 0.0:
-                    expected[i] = math.inf
-                else:
-                    expected[i] = weighted / finite_mass
-            elif self.policy is DegradedStatePolicy.PENALTY:
-                assert self.penalty_waiting_time is not None
-                expected[i] = (
-                    weighted + infinite_mass * self.penalty_waiting_time
-                )
-            else:  # INFINITE
-                if bool(np.any(marginal[~finite] > 0.0)):
-                    expected[i] = math.inf
-                else:
-                    expected[i] = weighted
 
         failure_free = self.performance.waiting_times(full_configuration)
         return PerformabilityReport(

@@ -96,6 +96,19 @@ class Workload:
         )
 
 
+def configuration_label(replicas: Iterable[tuple[str, int]]) -> str:
+    """The ``(name=count, ...)`` label of replica counts, names sorted.
+
+    ``str(SystemConfiguration)``; also the last sort key of the search's
+    cost-ordered candidate enumeration, which labels count tuples
+    without building configurations.
+    """
+    inner = ", ".join(
+        f"{name}={count}" for name, count in sorted(replicas)
+    )
+    return f"({inner})"
+
+
 @dataclass(frozen=True)
 class SystemConfiguration:
     """Replication degrees ``Y = (Y_1, ..., Y_k)`` keyed by type name.
@@ -153,10 +166,7 @@ class SystemConfiguration:
         return SystemConfiguration({name: count for name in index.names})
 
     def __str__(self) -> str:
-        inner = ", ".join(
-            f"{name}={count}" for name, count in sorted(self.replicas.items())
-        )
-        return f"({inner})"
+        return configuration_label(self.replicas.items())
 
 
 @dataclass(frozen=True)

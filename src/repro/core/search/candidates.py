@@ -16,7 +16,10 @@ import math
 from typing import TYPE_CHECKING, Iterator
 
 from repro.core.model_types import ServerTypeIndex
-from repro.core.performance import SystemConfiguration
+from repro.core.performance import (
+    SystemConfiguration,
+    configuration_label,
+)
 from repro.core.search.types import ReplicationConstraints
 from repro.exceptions import ValidationError
 
@@ -59,27 +62,23 @@ def configurations_by_cost(
     upper = tuple(constraints.upper_bound(name) for name in names)
     if any(low > high for low, high in zip(lower, upper)):
         return
+    costs = [spec.cost for spec in server_types.specs]
 
     def entry(counts: tuple[int, ...], first_index: int):
-        configuration = SystemConfiguration(dict(zip(names, counts)))
-        return (
-            configuration.cost(server_types),
-            configuration.total_servers,
-            str(configuration),
-            counts,
-            first_index,
-            configuration,
-        )
+        # The sort key of SystemConfiguration(counts) — its cost summed
+        # in spec order, its total and its label — from the counts
+        # alone; a configuration is only built when it is yielded.
+        cost = float(sum(count * unit for count, unit in zip(counts, costs)))
+        label = configuration_label(zip(names, counts))
+        return (cost, sum(counts), label, counts, first_index)
 
     frontier = [entry(lower, 0)]
     while frontier:
-        _, total, _, counts, first_index, configuration = heapq.heappop(
-            frontier
-        )
+        _, total, _, counts, first_index = heapq.heappop(frontier)
         if total > constraints.max_total_servers:
             # Children only grow the total; prune the whole subtree.
             continue
-        yield configuration
+        yield SystemConfiguration(dict(zip(names, counts)))
         for j in range(first_index, len(names)):
             if counts[j] + 1 <= upper[j]:
                 child = counts[:j] + (counts[j] + 1,) + counts[j + 1:]

@@ -188,7 +188,7 @@ class RecommendationService:
         obs.event(
             "service.drift",
             tenant=tenant_name,
-            kind=event.kind,
+            drift_kind=event.kind,
             subject=event.subject,
         )
 
@@ -334,7 +334,6 @@ class RecommendationService:
                 400, _JSON, render_json_body({"error": str(error)}), {},
             )
         except Exception as error:  # never kill the accept loop
-            obs.count("service.http.errors")
             status, content_type, body, headers = (
                 500, _JSON, render_json_body({"error": str(error)}), {},
             )

@@ -175,6 +175,66 @@ class TestPoolSharing:
         assert first is not second
 
 
+class TestAssessmentRows:
+    GOALS = PerformabilityGoals(max_waiting_time=10.0)
+
+    def _assess_all(self, cache, counts=((1, 1), (2, 1), (1, 2), (2, 2))):
+        evaluator = GoalEvaluator(make_performance(), cache=cache)
+        for fast, slow in counts:
+            evaluator.assess(
+                SystemConfiguration({"fast": fast, "slow": slow}),
+                self.GOALS,
+            )
+        return evaluator
+
+    def test_one_row_per_type_and_count(self):
+        cache = EvaluationCache()
+        self._assess_all(cache)
+        # fast and slow each at 1 and 2 replicas.
+        assert cache.stats()["assessment_rows.size"] == 4
+        # A row is built once: each pool and curve point was looked up
+        # only while building its row, never by a later candidate.
+        assert cache.stats()["pool_marginals.hits"] == 0
+        assert cache.stats()["pool_marginals.misses"] == 4
+
+    def test_disabled_cache_memoizes_no_rows(self):
+        cache = EvaluationCache(enabled=False)
+        evaluator = self._assess_all(cache)
+        assert cache.stats()["assessment_rows.size"] == 0
+        # Every assessment recomputed both curves from scratch.
+        assert evaluator.evaluation_count == 4
+
+    def test_policies_get_separate_rows(self):
+        cache = EvaluationCache()
+        self._assess_all(cache)
+        evaluator = GoalEvaluator(
+            make_performance(), cache=cache,
+            repair_policy=RepairPolicy.SINGLE_CREW,
+        )
+        evaluator.assess(
+            SystemConfiguration({"fast": 1, "slow": 1}), self.GOALS
+        )
+        assert cache.stats()["assessment_rows.size"] == 6
+
+    def test_clear_assessments_keeps_rows(self):
+        cache = EvaluationCache()
+        self._assess_all(cache)
+        cache.clear_assessments()
+        assert cache.stats()["assessment_rows.size"] == 4
+
+    def test_clear_drops_rows(self):
+        cache = EvaluationCache()
+        self._assess_all(cache)
+        cache.clear()
+        assert cache.stats()["assessment_rows.size"] == 0
+
+    def test_rebind_to_a_drifted_model_drops_rows(self):
+        cache = EvaluationCache()
+        self._assess_all(cache)
+        cache.rebind(model_fingerprint(make_performance(fast_service=0.07)))
+        assert cache.stats()["assessment_rows.size"] == 0
+
+
 class TestAssessmentEviction:
     def test_assessments_are_bounded(self):
         cache = EvaluationCache(max_assessments=8)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.availability import (
@@ -14,8 +14,17 @@ from repro.core.availability import (
 )
 from repro.core.ctmc import AbsorbingCTMC
 from repro.core.dtmc import AbsorbingDTMC
+from repro.core.evaluation_cache import EvaluationCache
+from repro.core.goals import (
+    GoalAssessment,
+    GoalEvaluator,
+    GoalViolation,
+    PerformabilityGoals,
+)
 from repro.core.model_types import ServerTypeIndex, ServerTypeSpec
-from repro.core.performance import SystemConfiguration
+from repro.core.performability import DegradedStatePolicy, PerformabilityModel
+from repro.core.performance import PerformanceModel, SystemConfiguration
+from repro.exceptions import ValidationError
 from repro.queueing import (
     mean_population,
     mg1_mean_waiting_time,
@@ -288,3 +297,295 @@ class TestQueueingProperties:
     def test_littles_law_round_trip(self, arrival, time_in_system):
         population = mean_population(arrival, time_in_system)
         assert population == pytest.approx(arrival * time_in_system)
+
+
+# ----------------------------------------------------------------------
+# Goal assessment: per-type rows vs the Section 5/6 models
+# ----------------------------------------------------------------------
+#: Index order deliberately differs from the names' sorted order.
+LANDSCAPE_NAMES = ("wf", "app", "comm")
+
+
+@st.composite
+def landscapes(draw, min_types=1, max_types=3):
+    """Random server landscapes with fixed request totals.
+
+    Loads reach 3.5 times one replica's capacity, so small pools are
+    often saturated (waiting time ``inf``); some types carry no load
+    and some never fail.
+    """
+    count = draw(st.integers(min_types, max_types))
+    specs = []
+    totals = []
+    for name in LANDSCAPE_NAMES[:count]:
+        mean = draw(st.floats(0.01, 2.0))
+        specs.append(
+            ServerTypeSpec(
+                name=name,
+                mean_service_time=mean,
+                second_moment_service_time=(
+                    mean * mean * draw(st.floats(1.1, 5.0))
+                ),
+                failure_rate=draw(
+                    st.one_of(st.just(0.0), st.floats(1e-4, 1.0))
+                ),
+                repair_rate=draw(st.floats(0.1, 10.0)),
+            )
+        )
+        load = draw(st.one_of(st.just(0.0), st.floats(0.01, 3.5)))
+        totals.append(load / mean)
+    return PerformanceModel.from_request_totals(
+        ServerTypeIndex(specs), totals
+    )
+
+
+@st.composite
+def goal_sets(draw, names):
+    """Goals with any mix of global and per-type thresholds."""
+    waiting = draw(st.one_of(st.none(), st.floats(1e-3, 10.0)))
+    unavailability = draw(st.one_of(st.none(), st.floats(1e-9, 0.5)))
+    per_type_waiting = draw(
+        st.dictionaries(st.sampled_from(names), st.floats(1e-3, 10.0),
+                        max_size=2)
+    )
+    per_type_unavailability = draw(
+        st.dictionaries(st.sampled_from(names), st.floats(1e-9, 0.5),
+                        max_size=2)
+    )
+    if waiting is None and unavailability is None and not (
+        per_type_waiting or per_type_unavailability
+    ):
+        unavailability = 1e-3
+    return PerformabilityGoals(
+        max_waiting_time=waiting,
+        max_waiting_times_per_type=per_type_waiting,
+        max_unavailability=unavailability,
+        max_unavailability_per_type=per_type_unavailability,
+    )
+
+
+degraded_policies = st.sampled_from(list(DegradedStatePolicy))
+repair_policies = st.sampled_from(list(RepairPolicy))
+penalties = st.floats(1e-3, 100.0)
+
+
+def _policy_kwargs(repair, degraded, penalty):
+    return {
+        "repair_policy": repair,
+        "degraded_policy": degraded,
+        "penalty_waiting_time": (
+            penalty if degraded is DegradedStatePolicy.PENALTY else None
+        ),
+    }
+
+
+def model_assessment(
+    performance: PerformanceModel,
+    configuration: SystemConfiguration,
+    goals: PerformabilityGoals,
+    repair_policy: RepairPolicy,
+    degraded_policy: DegradedStatePolicy,
+    penalty_waiting_time: float | None,
+) -> GoalAssessment:
+    """The assessment built literally from the Section 5 and 6 models."""
+    availability = AvailabilityModel(
+        performance.server_types, configuration, policy=repair_policy
+    )
+    unavailability = availability.unavailability()
+    per_type = availability.per_type_unavailability()
+    violations = []
+    if (goals.max_unavailability is not None
+            and unavailability > goals.max_unavailability):
+        violations.append(GoalViolation(
+            "unavailability", None, unavailability, goals.max_unavailability
+        ))
+    for name, value in per_type.items():
+        threshold = goals.type_unavailability_threshold(name)
+        if value > threshold:
+            violations.append(
+                GoalViolation("type_unavailability", name, value, threshold)
+            )
+    report = None
+    if goals.has_performance_goal:
+        report = PerformabilityModel(
+            performance, availability, policy=degraded_policy,
+            penalty_waiting_time=penalty_waiting_time,
+        ).expected_waiting_times()
+        for name, value in report.expected_waiting_times.items():
+            threshold = goals.waiting_time_threshold(name)
+            if value > threshold:
+                violations.append(
+                    GoalViolation("waiting_time", name, value, threshold)
+                )
+    utilizations = performance.utilizations(configuration)
+    return GoalAssessment(
+        configuration=configuration,
+        goals=goals,
+        violations=tuple(violations),
+        performability=report,
+        unavailability=unavailability,
+        per_type_unavailability=per_type,
+        utilizations={
+            name: float(utilizations[i])
+            for i, name in enumerate(performance.server_types.names)
+        },
+    )
+
+
+@st.composite
+def assessment_cases(draw):
+    """A landscape, goals on it, and a run of candidate configurations.
+
+    Three types, so that a fold in any order other than the index order
+    (a product of three floats) would show up as a rounding difference.
+    """
+    performance = draw(landscapes(min_types=3))
+    names = performance.server_types.names
+    configurations = draw(
+        st.lists(
+            st.tuples(*(st.integers(1, 4) for _ in names)),
+            min_size=1, max_size=6,
+        )
+    )
+    return (
+        performance,
+        draw(goal_sets(names)),
+        [SystemConfiguration(dict(zip(names, counts)))
+         for counts in configurations],
+    )
+
+
+@st.composite
+def replica_additions(draw):
+    """A landscape, a configuration, and the type that gains a replica."""
+    performance = draw(landscapes())
+    count = len(performance.server_types)
+    counts = draw(st.tuples(*(st.integers(1, 4) for _ in range(count))))
+    return performance, counts, draw(st.integers(0, count - 1))
+
+
+def _single_type(mean, load, failure, repair):
+    spec = ServerTypeSpec("app", mean, failure_rate=failure,
+                          repair_rate=repair)
+    return PerformanceModel.from_request_totals(
+        ServerTypeIndex([spec]), [load / mean]
+    )
+
+
+class TestAssessmentRowProperties:
+    """Every assessment folded from per-type rows equals, bit for bit,
+    the one built from AvailabilityModel and PerformabilityModel."""
+
+    @given(
+        case=assessment_cases(),
+        repair=repair_policies,
+        degraded=degraded_policies,
+        penalty=penalties,
+        enabled=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_rows_equal_models(
+        self, case, repair, degraded, penalty, enabled
+    ):
+        performance, goals, configurations = case
+        policies = _policy_kwargs(repair, degraded, penalty)
+        evaluator = GoalEvaluator(
+            performance, cache=EvaluationCache(enabled=enabled), **policies
+        )
+        for configuration in configurations:
+            assessed = evaluator.assess(configuration, goals)
+            expected = model_assessment(
+                performance, configuration, goals, **policies
+            )
+            assert assessed == expected
+            assert repr(assessed) == repr(expected)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("degraded", list(DegradedStatePolicy))
+    @pytest.mark.parametrize("repair", list(RepairPolicy))
+    def test_saturated_types_equal_models(self, repair, degraded, enabled):
+        # 2.5 replicas' worth of load: one and two replicas saturate.
+        performance = _single_type(0.5, 2.5, 0.05, 1.0)
+        goals = PerformabilityGoals(max_waiting_time=1.0)
+        policies = _policy_kwargs(repair, degraded, 20.0)
+        evaluator = GoalEvaluator(
+            performance, cache=EvaluationCache(enabled=enabled), **policies
+        )
+        for count in (3, 1, 2, 4, 1):
+            configuration = SystemConfiguration({"app": count})
+            assessed = evaluator.assess(configuration, goals)
+            assert repr(assessed) == repr(model_assessment(
+                performance, configuration, goals, **policies
+            ))
+            if count <= 2:
+                assert assessed.saturated_types == ("app",)
+                assert math.isinf(
+                    assessed.performability.failure_free_waiting_times["app"]
+                )
+
+    def test_count_below_one_raises_like_the_model(self):
+        performance = _single_type(0.5, 0.5, 0.05, 1.0)
+        configuration = SystemConfiguration({"app": 0})
+        with pytest.raises(ValidationError) as model_error:
+            AvailabilityModel(performance.server_types, configuration)
+        with pytest.raises(ValidationError) as row_error:
+            GoalEvaluator(performance).assess(
+                configuration, PerformabilityGoals(max_unavailability=0.1)
+            )
+        assert str(row_error.value) == str(model_error.value)
+
+
+class TestReplicationMonotonicity:
+    """Adding one replica never increases the system unavailability or
+    any type's performability waiting time — the assumption behind
+    branch-and-bound's pruning.
+
+    PENALTY breaks it: when the penalty is below a finite waiting time,
+    a replica that turns an all-saturated pool into a stable one
+    *raises* the expected waiting time (the pinned example: one replica
+    is saturated and scores the penalty 1.0, two replicas wait 1.25).
+    """
+
+    @pytest.mark.parametrize("degraded", [
+        DegradedStatePolicy.CONDITIONAL,
+        DegradedStatePolicy.INFINITE,
+        pytest.param(
+            DegradedStatePolicy.PENALTY,
+            marks=pytest.mark.xfail(
+                raises=AssertionError, strict=True,
+                reason="PENALTY waiting time is not monotone when the "
+                       "penalty is below a finite waiting time",
+            ),
+        ),
+    ])
+    @given(case=replica_additions(), repair=repair_policies,
+           penalty=penalties)
+    @example(
+        case=(_single_type(2.0, 1.0, 1.0, 1.0), (1,), 0),
+        repair=RepairPolicy.INDEPENDENT,
+        penalty=1.0,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_adding_a_replica_never_hurts(
+        self, degraded, case, repair, penalty
+    ):
+        performance, counts, grown = case
+        names = performance.server_types.names
+        evaluator = GoalEvaluator(
+            performance, **_policy_kwargs(repair, degraded, penalty)
+        )
+        goals = PerformabilityGoals(max_waiting_time=1.0)
+        larger = list(counts)
+        larger[grown] += 1
+        before = evaluator.assess(
+            SystemConfiguration(dict(zip(names, counts))), goals
+        )
+        after = evaluator.assess(
+            SystemConfiguration(dict(zip(names, larger))), goals
+        )
+        assert after.unavailability <= before.unavailability
+        for name in names:
+            assert (
+                after.performability.expected_waiting_times[name]
+                <= before.performability.expected_waiting_times[name]
+            ), name

@@ -8,6 +8,7 @@ import urllib.request
 
 import pytest
 
+from repro import obs
 from repro.service import (
     RecommendationService,
     batch_recommendation,
@@ -44,6 +45,42 @@ def service(baseline, goals, tmp_path):
     service.start()
     yield service
     service.stop(snapshot=False)
+
+
+def _drifting_feed(trail_lines: bytes) -> bytes:
+    """The sample trail, then a time-shifted copy whose ``work`` visits
+    last six times as long — enough for the drift monitor to confirm a
+    residence-time drift part-way through one POST."""
+    records = [json.loads(line) for line in trail_lines.splitlines()]
+    end = max(
+        record.get("completed_at", record.get("left_at", 0.0))
+        for record in records
+    )
+    shifted = []
+    for record in records:
+        record = dict(record, instance_id=record["instance_id"] + 100000)
+        for field in ("entered_at", "left_at", "completed_at",
+                      "started_at", "submitted_at"):
+            if field in record:
+                record[field] += end
+        if record["kind"] == "state_visit" and record["state"] == "work":
+            record["left_at"] = record["entered_at"] + 6.0 * (
+                record["left_at"] - record["entered_at"]
+            )
+        shifted.append(json.dumps(record, sort_keys=True).encode())
+    return trail_lines + b"\n".join(shifted) + b"\n"
+
+
+@pytest.fixture()
+def observed():
+    """Process-wide observability, enabled and reset for one test."""
+    obs.reset()
+    obs.enable()
+    try:
+        yield obs.registry()
+    finally:
+        obs.disable()
+        obs.reset()
 
 
 def _wait_until_published(service, tenant="default", timeout=30.0):
@@ -177,6 +214,35 @@ class TestServeLoop:
         document = json.loads(body)
         assert "alpha" in document["tenants"]
         assert "searches_active" in document
+
+
+class TestDriftAndErrors:
+    def test_feed_confirming_a_drift_is_fully_ingested(
+        self, service, trail_lines, observed
+    ):
+        feed = _drifting_feed(trail_lines)
+        status, summary = _post(f"{service.url}/events", feed)
+        assert status == 200
+        assert summary["drift_confirmed"] >= 1
+        assert summary["rejected"] == 0
+        assert summary["ingested"] == len(feed.splitlines())
+        assert observed.counter("service.drift.confirmations").value >= 1
+        assert observed.counter("service.http.errors").value == 0
+
+    def test_internal_error_is_counted_once(self, service, observed):
+        async def fail(reader):
+            raise RuntimeError("handler exploded")
+
+        service._handle_request = fail
+        status, _, body = _get(f"{service.url}/health")
+        assert status == 500
+        assert "handler exploded" in json.loads(body)["error"]
+        assert observed.counter("service.http.errors").value == 1
+
+    def test_client_error_is_counted_once(self, service, observed):
+        status, _, _ = _get(f"{service.url}/nope")
+        assert status == 404
+        assert observed.counter("service.http.errors").value == 1
 
 
 class TestSnapshotLifecycle:
