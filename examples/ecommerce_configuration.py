@@ -1,24 +1,33 @@
 """The paper's e-commerce scenario end to end (Figures 3/4, Section 7).
 
-Registers the EP workflow (with its parallel notify/delivery
-subworkflows and the reminder loop) and the order-processing workflow in
-the tool's repository, assesses the current configuration, and asks for
-minimum-cost recommendations under increasingly strict performability
-goals — comparing the greedy heuristic with exhaustive search and
-simulated annealing.
+Maps the EP workflow (with its parallel notify/delivery subworkflows
+and the reminder loop) and the order-processing workflow onto the
+Section 4 performance model, assesses the current configuration, and
+asks for minimum-cost recommendations under increasingly strict
+performability goals — comparing the greedy heuristic with exhaustive
+search and simulated annealing.
 
 Run:  python examples/ecommerce_configuration.py
 """
 
-from repro.core.configuration import ReplicationConstraints
-from repro.core.goals import PerformabilityGoals
-from repro.core.performance import SystemConfiguration
-from repro.tool import ConfigurationTool, WorkflowRepository
+from repro.core.availability import AvailabilityModel
+from repro.core.configuration import (
+    ReplicationConstraints,
+    exhaustive_configuration,
+    greedy_configuration,
+    simulated_annealing_configuration,
+)
+from repro.core.goals import GoalEvaluator, PerformabilityGoals
+from repro.core.performability import PerformabilityModel
+from repro.core.performance import (
+    PerformanceModel,
+    SystemConfiguration,
+    Workload,
+    WorkloadItem,
+)
 from repro.workflows import (
-    ecommerce_activities,
-    ecommerce_chart,
-    order_processing_activities,
-    order_processing_chart,
+    ecommerce_workflow,
+    order_processing_workflow,
     standard_server_types,
 )
 
@@ -26,12 +35,17 @@ ARRIVAL_RATES = {"EP": 0.4, "OrderProcessing": 0.2}  # workflows per minute
 
 
 def main() -> None:
-    repository = WorkflowRepository()
-    repository.register(ecommerce_chart(), ecommerce_activities())
-    repository.register(
-        order_processing_chart(), order_processing_activities()
+    types = standard_server_types()
+    model = PerformanceModel(
+        types,
+        Workload([
+            WorkloadItem(ecommerce_workflow(), ARRIVAL_RATES["EP"]),
+            WorkloadItem(
+                order_processing_workflow(),
+                ARRIVAL_RATES["OrderProcessing"],
+            ),
+        ]),
     )
-    tool = ConfigurationTool(standard_server_types(), repository)
 
     # ------------------------------------------------------------------
     # Assess the configuration an administrator might start with.
@@ -39,7 +53,20 @@ def main() -> None:
     initial = SystemConfiguration(
         {"comm-server": 1, "wf-engine": 2, "app-server": 3}
     )
-    print(tool.evaluate(initial, ARRIVAL_RATES).format_text())
+    availability = AvailabilityModel(types, initial)
+    print(model.assess(initial).format_text())
+    print()
+    print(
+        f"Availability: system unavailability "
+        f"{availability.unavailability():.3e} "
+        f"(~{availability.downtime_per_year('hours'):.2f} hours "
+        f"downtime/year)"
+    )
+    for name, value in availability.per_type_unavailability().items():
+        print(f"    {name:18s} type unavailability {value:.3e}")
+    print()
+    performability = PerformabilityModel(model, availability)
+    print(performability.expected_waiting_times().format_text())
 
     # ------------------------------------------------------------------
     # Recommendations for a ladder of goals.
@@ -55,7 +82,7 @@ def main() -> None:
             max_waiting_time=waiting_goal,
             max_unavailability=unavailability_goal,
         )
-        recommendation = tool.recommend(goals, ARRIVAL_RATES)
+        recommendation = greedy_configuration(GoalEvaluator(model), goals)
         print(
             f"{label:10s} w<={waiting_goal:<5g} U<={unavailability_goal:<8g}"
             f" -> {recommendation.configuration} "
@@ -73,13 +100,14 @@ def main() -> None:
         max_total_servers=15,
     )
     print("\n--- Algorithm comparison for the 'standard' goal ---")
-    for algorithm in ("greedy", "exhaustive", "simulated_annealing"):
-        recommendation = tool.recommend(
-            goals, ARRIVAL_RATES, constraints=constraints,
-            algorithm=algorithm,
-        )
+    for search in (greedy_configuration, exhaustive_configuration,
+                   simulated_annealing_configuration):
+        # A fresh evaluator per search, so each counts its own
+        # evaluations.
+        recommendation = search(GoalEvaluator(model), goals, constraints)
         print(
-            f"{algorithm:20s} -> {recommendation.configuration} "
+            f"{recommendation.algorithm:20s} -> "
+            f"{recommendation.configuration} "
             f"(cost {recommendation.cost:.0f}, "
             f"{recommendation.evaluations} evaluations)"
         )
@@ -88,10 +116,10 @@ def main() -> None:
     # Constraint: the communication server is licensed per node and
     # fixed at two replicas.
     # ------------------------------------------------------------------
-    constrained = tool.recommend(
+    constrained = greedy_configuration(
+        GoalEvaluator(model),
         goals,
-        ARRIVAL_RATES,
-        constraints=ReplicationConstraints(fixed={"comm-server": 2}),
+        ReplicationConstraints(fixed={"comm-server": 2}),
     )
     print(
         f"\nWith comm-server fixed at 2: {constrained.configuration} "

@@ -17,17 +17,15 @@ from repro.core.performance import (
     Workload,
     WorkloadItem,
 )
-from repro.monitor.calibration import (
-    estimate_transition_probabilities,
-    estimate_turnaround_time,
-)
+from repro.io import Project
+from repro.monitor.stream import StreamingCalibrator
+from repro.service.pipeline import calibrated_model
 from repro.sim.campaign import (
     CampaignPlan,
     run_campaign,
     run_replication,
     validate_against_models,
 )
-from repro.tool import ConfigurationTool, WorkflowRepository
 from repro.wfms import RoutingPolicy, SimulatedWorkflowType
 from repro.workflows import (
     ecommerce_activities,
@@ -96,25 +94,45 @@ def main() -> None:
     # the audit trail of one replication (run_replication keeps it).
     # ------------------------------------------------------------------
     report = run_replication(plan, 0)
-    repository = WorkflowRepository()
-    repository.register(ecommerce_chart(), ecommerce_activities())
-    tool = ConfigurationTool(types, repository)
-    calibration = tool.calibrate(report.trail, observation_period=DURATION)
-    print()
-    print(calibration.format_text())
+    calibrator = StreamingCalibrator()
+    calibrator.replay(report.trail)
+    print("\nCalibration from monitoring data:")
+    for name, estimate in calibrator.service_times().items():
+        mean, second = estimate.mean, estimate.second_moment
+        print(f"  {name:18s} b = {mean:.6f}, b(2) = {second:.6f} "
+              f"(SCV {(second - mean**2) / mean**2:.3f}, "
+              f"{estimate.sample_count} samples)")
+    print(f"  {'EP':18s} arrival rate "
+          f"{calibrator.arrival_rate('EP', DURATION):.6f}, "
+          f"turnaround {calibrator.turnaround_time('EP'):.4f}")
 
-    probabilities = estimate_transition_probabilities(report.trail, "EP")
+    # The recalibrated model overlays the measured service moments and
+    # request loads on the design-time landscape.
+    baseline = Project(types, (ecommerce_workflow(),),
+                       {"EP": ARRIVAL_RATE})
+    recalibrated = calibrated_model(calibrator, baseline, DURATION)
+    print("\nRecalibrated vs design-time model (same configuration):")
+    print(f"    {'server type':18s} utilization (design) waiting (design)")
+    for name, rho, rho0, wait, wait0 in zip(
+        types.names,
+        recalibrated.utilizations(configuration),
+        model.utilizations(configuration),
+        recalibrated.waiting_times(configuration),
+        model.waiting_times(configuration),
+    ):
+        print(f"    {name:18s} {rho:.4f} ({rho0:.4f})      "
+              f"{wait:.4f} ({wait0:.4f})")
+
+    probabilities = calibrator.transition_probabilities("EP")
     print("\nRe-estimated EP branching probabilities (designer values in "
           "parentheses):")
     print(f"  NewOrder -> CreditCardCheck: "
           f"{probabilities[('NewOrder', 'CreditCardCheck')]:.3f} (0.600)")
     print(f"  CreditCardCheck -> Shipment: "
           f"{probabilities[('CreditCardCheck', 'Shipment_S')]:.3f} (0.900)")
-    measured_turnaround = estimate_turnaround_time(report.trail, "EP")
     print(f"  measured EP turnaround (replication 0): "
-          f"{measured_turnaround:.2f} "
+          f"{calibrator.turnaround_time('EP'):.2f} "
           f"(model: {model.turnaround_time('EP'):.2f})")
-
 
 if __name__ == "__main__":
     main()

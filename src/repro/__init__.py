@@ -17,8 +17,9 @@ Systems"* (Gillmann, Weissenfels, Weikum, Kraiss — EDBT 2000):
   validate the analytic predictions.
 * :mod:`repro.monitor` — audit trails and calibration of model parameters
   from monitoring data.
-* :mod:`repro.tool` — the configuration tool of Section 7 (mapping,
-  calibration, evaluation, recommendation).
+* :mod:`repro.service` — the configuration tool of Section 7: the
+  shared calibrate → evaluate → recommend pipeline and the always-on
+  recommendation service built on it.
 * :mod:`repro.queueing` — M/G/1, M/M/1, M/M/c, and Little's-law utilities.
 * :mod:`repro.workflows` — ready-made example workflows, including the
   paper's e-commerce workflow (Figures 3 and 4).

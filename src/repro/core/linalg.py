@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Literal
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from repro import obs
 from repro.exceptions import ConvergenceError, ValidationError
@@ -28,12 +29,6 @@ DEFAULT_TOLERANCE = 1e-12
 
 #: Default iteration cap for iterative solvers.
 DEFAULT_MAX_ITERATIONS = 100_000
-
-
-try:  # scipy is a hard dependency, but keep a pure-numpy fallback
-    from scipy.linalg import solve_triangular as _solve_triangular
-except ImportError:  # pragma: no cover - scipy ships with the package
-    _solve_triangular = None
 
 
 def _as_square_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -57,13 +52,7 @@ def _forward_substitution(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ``lower = D + L`` and ``rhs = b - U x_old``; routing it through
     LAPACK turns the pure-Python inner loop into one vectorized kernel.
     """
-    if _solve_triangular is not None:
-        return _solve_triangular(lower, rhs, lower=True,
-                                 check_finite=False)
-    x = np.zeros_like(rhs)  # pragma: no cover - scipy-less fallback
-    for i in range(rhs.shape[0]):  # pragma: no cover
-        x[i] = (rhs[i] - lower[i, :i] @ x[:i]) / lower[i, i]
-    return x  # pragma: no cover
+    return solve_triangular(lower, rhs, lower=True, check_finite=False)
 
 
 def gauss_seidel(

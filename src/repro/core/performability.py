@@ -143,7 +143,7 @@ def degraded_waiting_time(
         return weighted / finite_mass, finite_mass
     if policy is DegradedStatePolicy.PENALTY:
         assert penalty_waiting_time is not None
-        infinite_mass = 1.0 - finite_mass
+        infinite_mass = float(marginal[~finite].sum())
         return weighted + infinite_mass * penalty_waiting_time, finite_mass
     # INFINITE: any mass on an infinite entry makes the entry infinite.
     if bool(np.any(marginal[~finite] > 0.0)):

@@ -1,9 +1,8 @@
 """Sequential drift detection over streaming calibration statistics.
 
-The batch comparator in :mod:`repro.tool.reconfiguration` answers "did
-the parameters change between two calibration snapshots?"; this module
-answers the *online* question — "has the running system drifted away
-from the parameters the current configuration was chosen for?" — using
+This module answers the *online* question of the paper's
+reconfiguration step — "has the running system drifted away from the
+parameters the current configuration was chosen for?" — using
 Page–Hinkley / CUSUM-style sequential change detectors:
 
 * :class:`PageHinkleyDetector` — the classic two-sided Page–Hinkley

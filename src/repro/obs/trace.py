@@ -2,10 +2,10 @@
 
 A :class:`Span` measures the wall time (``time.perf_counter``) of one
 named region — a Gauss-Seidel solve, a performability evaluation, a
-simulation run — as a context manager.  Spans nest: the tracer keeps an
-active-span stack, so each finished span records the name of its parent,
-giving a hierarchical view of where a pipeline spent its time without
-any global interpreter hooks.
+simulation run — as a context manager.  Spans nest: the tracer keeps one
+active-span stack per thread, so each finished span records the name of
+its parent on the same thread, giving a hierarchical view of where a
+pipeline spent its time without any global interpreter hooks.
 
 While the tracer is disabled, :meth:`Tracer.span` returns a shared
 :data:`NO_OP_SPAN` singleton without allocating anything, which keeps
@@ -19,6 +19,7 @@ via :meth:`Tracer.event` are exported alongside the spans as JSON lines.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Any
 
@@ -65,7 +66,7 @@ class Span:
         self.attributes[key] = value
 
     def __enter__(self) -> "Span":
-        stack = self._tracer._stack
+        stack = self._tracer._local.stack
         self.parent = stack[-1].name if stack else None
         stack.append(self)
         self.started_at = time.perf_counter()
@@ -74,7 +75,7 @@ class Span:
 
     def __exit__(self, *exc_info: object) -> bool:
         self.duration = time.perf_counter() - self._start
-        stack = self._tracer._stack
+        stack = self._tracer._local.stack
         if stack and stack[-1] is self:
             stack.pop()
         self._tracer._finish(self)
@@ -90,6 +91,13 @@ class Span:
             "duration_s": self.duration,
             "attributes": self.attributes,
         }
+
+
+class _SpanStack(threading.local):
+    """The open spans of the current thread, innermost last."""
+
+    def __init__(self) -> None:
+        self.stack: list[Span] = []
 
 
 class Tracer:
@@ -109,7 +117,7 @@ class Tracer:
         self.spans: list[Span] = []
         self.events: list[dict[str, Any]] = []
         self.dropped = 0
-        self._stack: list[Span] = []
+        self._local = _SpanStack()
         # Span aggregates folded in from other processes' tracers via
         # merge_snapshot; span_summary() combines them with local spans.
         self._merged_summary: dict[str, dict[str, float]] = {}
@@ -165,8 +173,9 @@ class Tracer:
     # ------------------------------------------------------------------
     @property
     def active_span(self) -> Span | None:
-        """The innermost currently open span, if any."""
-        return self._stack[-1] if self._stack else None
+        """The innermost span currently open on the calling thread."""
+        stack = self._local.stack
+        return stack[-1] if stack else None
 
     def span_summary(self) -> dict[str, dict[str, float]]:
         """Aggregate finished spans by name: count and timing stats.

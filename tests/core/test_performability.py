@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.availability import AvailabilityModel
+from repro.core.availability import AvailabilityModel, RepairPolicy
+from repro.core.goals import GoalEvaluator, PerformabilityGoals
 from repro.core.model_types import (
     ActivitySpec,
     ServerTypeIndex,
@@ -162,6 +163,38 @@ class TestPenaltyPolicy:
             probabilities[(0,)] * 100.0
         )
         assert math.isfinite(report.expected_waiting_times["srv"])
+
+    @pytest.mark.parametrize("repair", list(RepairPolicy))
+    @pytest.mark.parametrize("replicas", range(1, 8))
+    def test_zero_load_type_scores_exactly_zero(self, repair, replicas):
+        # Every waiting-curve entry of an idle type is finite, so no
+        # mass may be charged the penalty — not even one rounding ulp.
+        types = ServerTypeIndex(
+            [ServerTypeSpec("idle", 1.0, failure_rate=0.05,
+                            repair_rate=1.97)]
+        )
+        performance = PerformanceModel.from_request_totals(types, [0.0])
+        configuration = SystemConfiguration({"idle": replicas})
+        model = PerformabilityModel(
+            performance,
+            AvailabilityModel(types, configuration, policy=repair),
+            policy=DegradedStatePolicy.PENALTY,
+            penalty_waiting_time=1.0,
+        )
+        evaluator = GoalEvaluator(
+            performance,
+            repair_policy=repair,
+            degraded_policy=DegradedStatePolicy.PENALTY,
+            penalty_waiting_time=1.0,
+        )
+        assessment = evaluator.assess(
+            configuration, PerformabilityGoals(max_waiting_time=1.0)
+        )
+        report = model.expected_waiting_times()
+        assert report.expected_waiting_times["idle"] == 0.0
+        assert assessment.performability.expected_waiting_times[
+            "idle"
+        ] == 0.0
 
     def test_penalty_requires_value(self):
         _, performance, availability = build_models()

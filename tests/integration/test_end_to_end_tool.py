@@ -1,21 +1,24 @@
 """Integration: the full configuration-tool loop of Section 7.
 
-map (repository -> models) -> run the simulated WFMS -> calibrate from
-the audit trail -> re-evaluate -> recommend.  This is the "analysis and
-assessment of an operational system all the way to ... automatically
-recommending a reconfiguration" spectrum the paper describes.
+map (workflow definitions -> models) -> run the simulated WFMS ->
+calibrate from the audit trail -> re-evaluate -> recommend.  This is the
+"analysis and assessment of an operational system all the way to ...
+automatically recommending a reconfiguration" spectrum the paper
+describes, driven through the streaming calibrator and the shared
+service pipeline.
 """
 
 import pytest
 
-from repro.core.goals import PerformabilityGoals
-from repro.core.performance import SystemConfiguration
-from repro.monitor.calibration import (
-    calibrate_flat_workflow,
-    estimate_transition_probabilities,
-    estimate_turnaround_time,
+from repro.core.goals import GoalEvaluator, PerformabilityGoals
+from repro.core.performance import PerformanceModel, SystemConfiguration
+from repro.core.workflow_model import build_workflow_ctmc
+from repro.io import Project
+from repro.monitor.stream import StreamingCalibrator
+from repro.service.pipeline import (
+    calibrated_model,
+    recommend_from_calibration,
 )
-from repro.tool import ConfigurationTool, WorkflowRepository
 from repro.wfms import RoutingPolicy, SimulatedWFMS, SimulatedWorkflowType
 from repro.workflows import (
     ecommerce_activities,
@@ -23,21 +26,29 @@ from repro.workflows import (
     ecommerce_workflow,
     order_processing_activities,
     order_processing_chart,
+    order_processing_workflow,
     standard_server_types,
 )
 from repro.workflows.ecommerce import P_PAY_BY_CARD
+
+RATES = {"EP": 0.4, "OrderProcessing": 0.2}
+OBSERVATION = 20_000.0
+CONFIGURATION = SystemConfiguration(
+    {"comm-server": 1, "wf-engine": 2, "app-server": 3}
+)
+BASELINE = Project(
+    server_types=standard_server_types(),
+    workflows=(ecommerce_workflow(), order_processing_workflow()),
+    arrival_rates=RATES,
+)
 
 
 @pytest.fixture(scope="module")
 def operational_run():
     """A 'production' run of the simulated WFMS producing monitoring data."""
-    types = standard_server_types()
-    configuration = SystemConfiguration(
-        {"comm-server": 1, "wf-engine": 2, "app-server": 3}
-    )
     wfms = SimulatedWFMS(
-        server_types=types,
-        configuration=configuration,
+        server_types=BASELINE.server_types,
+        configuration=CONFIGURATION,
         workflow_types=[
             SimulatedWorkflowType(
                 ecommerce_chart(), ecommerce_activities(), 0.4
@@ -50,117 +61,110 @@ def operational_run():
         routing_policy=RoutingPolicy.ROUND_ROBIN,
         inject_failures=False,
     )
-    report = wfms.run(duration=20_000.0, warmup=1_000.0)
-    return types, configuration, report
+    return wfms.run(duration=OBSERVATION, warmup=1_000.0)
 
 
 @pytest.fixture(scope="module")
-def tool():
-    repository = WorkflowRepository()
-    repository.register(ecommerce_chart(), ecommerce_activities())
-    repository.register(
-        order_processing_chart(), order_processing_activities()
+def calibrator(operational_run):
+    calibrator = StreamingCalibrator()
+    calibrator.replay(operational_run.trail)
+    return calibrator
+
+
+@pytest.fixture(scope="module")
+def model():
+    """The design-time Section 4 model of the mapped workload."""
+    return PerformanceModel(BASELINE.server_types, BASELINE.workload())
+
+
+def recommend(calibrator, max_waiting_time, max_unavailability):
+    document = recommend_from_calibration(
+        calibrator,
+        BASELINE,
+        PerformabilityGoals(
+            max_waiting_time=max_waiting_time,
+            max_unavailability=max_unavailability,
+        ),
+        observation_period=OBSERVATION,
     )
-    return ConfigurationTool(standard_server_types(), repository)
-
-
-RATES = {"EP": 0.4, "OrderProcessing": 0.2}
+    assert document["feasible"]
+    return document["result"]
 
 
 class TestMapEvaluateRecommend:
-    def test_evaluate_operational_configuration(self, tool):
-        report = tool.evaluate(
-            SystemConfiguration(
-                {"comm-server": 1, "wf-engine": 2, "app-server": 3}
-            ),
-            RATES,
-        )
+    def test_evaluate_operational_configuration(self, model):
+        report = model.assess(CONFIGURATION)
         assert report.is_stable
-        assert report.performance.throughput.bottleneck == "app-server"
+        assert report.throughput.bottleneck == "app-server"
 
-    def test_recommendation_meets_goals(self, tool):
-        goals = PerformabilityGoals(
-            max_waiting_time=0.25, max_unavailability=1e-5
+    def test_recommendation_meets_goals(self, calibrator):
+        result = recommend(calibrator, 0.25, 1e-5)
+        assert result["satisfied"]
+        assert result["violations"] == []
+        # Re-assess the recommended configuration independently.
+        assessment = GoalEvaluator(
+            calibrated_model(calibrator, BASELINE, OBSERVATION)
+        ).assess(
+            SystemConfiguration(result["configuration"]),
+            PerformabilityGoals(
+                max_waiting_time=0.25, max_unavailability=1e-5
+            ),
         )
-        recommendation = tool.recommend(goals, RATES)
-        assessment = recommendation.assessment
         assert assessment.satisfied
         assert assessment.performability.max_expected_waiting_time <= 0.25
         assert assessment.unavailability <= 1e-5
 
-    def test_tighter_goals_cost_more(self, tool):
-        loose = tool.recommend(
-            PerformabilityGoals(max_waiting_time=0.5,
-                                max_unavailability=1e-4),
-            RATES,
-        )
-        tight = tool.recommend(
-            PerformabilityGoals(max_waiting_time=0.05,
-                                max_unavailability=1e-7),
-            RATES,
-        )
-        assert tight.cost > loose.cost
+    def test_tighter_goals_cost_more(self, calibrator):
+        loose = recommend(calibrator, 0.5, 1e-4)
+        tight = recommend(calibrator, 0.05, 1e-7)
+        assert tight["cost"] > loose["cost"]
 
 
 class TestCalibrationRoundTrip:
-    def test_service_moments_recovered(self, operational_run, tool):
-        types, _, report = operational_run
-        calibration = tool.calibrate(report.trail, observation_period=20_000.0)
-        for name in types.names:
-            mean, _ = calibration.server_updates[name]
-            assert mean == pytest.approx(
-                types.spec(name).mean_service_time, rel=0.05
+    def test_service_moments_recovered(self, calibrator):
+        estimates = calibrator.service_times()
+        for spec in BASELINE.server_types.specs:
+            assert estimates[spec.name].mean == pytest.approx(
+                spec.mean_service_time, rel=0.05
             )
 
-    def test_arrival_rates_recovered(self, operational_run, tool):
-        _, _, report = operational_run
-        calibration = tool.calibrate(report.trail, observation_period=20_000.0)
-        assert calibration.arrival_rates["EP"] == pytest.approx(0.4, rel=0.1)
-        assert calibration.arrival_rates["OrderProcessing"] == pytest.approx(
-            0.2, rel=0.15
+    def test_arrival_rates_recovered(self, calibrator):
+        assert calibrator.arrival_rate("EP", OBSERVATION) == pytest.approx(
+            0.4, rel=0.1
         )
+        assert calibrator.arrival_rate(
+            "OrderProcessing", OBSERVATION
+        ) == pytest.approx(0.2, rel=0.15)
 
-    def test_branching_probabilities_recovered(self, operational_run):
-        _, _, report = operational_run
-        probabilities = estimate_transition_probabilities(report.trail, "EP")
+    def test_branching_probabilities_recovered(self, calibrator):
+        probabilities = calibrator.transition_probabilities("EP")
         assert probabilities[
             ("NewOrder", "CreditCardCheck")
         ] == pytest.approx(P_PAY_BY_CARD, abs=0.05)
 
     def test_recalibrated_flat_workflow_matches_measured_turnaround(
-        self, operational_run
+        self, calibrator
     ):
-        types, _, report = operational_run
-        definition = calibrate_flat_workflow(report.trail, "EP", "NewOrder")
-        from repro.core.workflow_model import build_workflow_ctmc
-
-        model = build_workflow_ctmc(definition, types)
-        measured = estimate_turnaround_time(report.trail, "EP")
-        assert model.turnaround_time() == pytest.approx(measured, rel=0.05)
+        definition = calibrator.flat_workflow("EP", "NewOrder")
+        ctmc = build_workflow_ctmc(definition, BASELINE.server_types)
+        assert ctmc.turnaround_time() == pytest.approx(
+            calibrator.turnaround_time("EP"), rel=0.05
+        )
 
     def test_calibrated_tool_predictions_stay_consistent(
-        self, operational_run, tool
+        self, calibrator, model
     ):
-        _, configuration, report = operational_run
-        calibration = tool.calibrate(report.trail, observation_period=20_000.0)
-        recalibrated = tool.with_calibrated_servers(calibration)
-        before = tool.evaluate(configuration, RATES)
-        after = recalibrated.evaluate(configuration, RATES)
-        # Measured moments are close to the design-time ones, so the
-        # assessments must agree closely too.
-        for name in tool.server_types.names:
-            assert after.performance.utilizations[name] == pytest.approx(
-                before.performance.utilizations[name], rel=0.1
-            )
+        recalibrated = calibrated_model(calibrator, BASELINE, OBSERVATION)
+        # Measured moments and loads are close to the design-time ones,
+        # so the assessments must agree closely too.
+        assert recalibrated.utilizations(CONFIGURATION) == pytest.approx(
+            model.utilizations(CONFIGURATION), rel=0.1
+        )
 
-    def test_analytic_turnaround_matches_reference_model(
-        self, operational_run
-    ):
-        types, _, report = operational_run
-        from repro.core.workflow_model import build_workflow_ctmc
-
-        reference = build_workflow_ctmc(ecommerce_workflow(), types)
-        measured = estimate_turnaround_time(report.trail, "EP")
-        assert measured == pytest.approx(
+    def test_analytic_turnaround_matches_reference_model(self, calibrator):
+        reference = build_workflow_ctmc(
+            ecommerce_workflow(), BASELINE.server_types
+        )
+        assert calibrator.turnaround_time("EP") == pytest.approx(
             reference.turnaround_time(), rel=0.05
         )

@@ -1,5 +1,7 @@
 """Span tracing: nesting, the disabled fast path, and the record cap."""
 
+import threading
+
 import pytest
 
 from repro import obs
@@ -27,6 +29,36 @@ class TestSpanNesting:
             with tracer.span("inner") as inner:
                 assert tracer.active_span is inner
             assert tracer.active_span is outer
+        assert tracer.active_span is None
+
+    def test_nesting_is_per_thread(self):
+        tracer = Tracer()
+        barrier = threading.Barrier(2, timeout=10)
+        active = {}
+
+        def work(label):
+            barrier.wait()
+            with tracer.span(f"outer-{label}"):
+                # Both outer spans are open before either inner opens.
+                barrier.wait()
+                with tracer.span(f"inner-{label}") as inner:
+                    barrier.wait()
+                    active[label] = tracer.active_span is inner
+
+        threads = [
+            threading.Thread(target=work, args=(label,))
+            for label in ("a", "b")
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        by_name = {span.name: span for span in tracer.spans}
+        for label in ("a", "b"):
+            assert by_name[f"outer-{label}"].parent is None
+            assert by_name[f"inner-{label}"].parent == f"outer-{label}"
+            assert active[label]
         assert tracer.active_span is None
 
     def test_durations_are_recorded(self):
