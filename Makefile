@@ -46,7 +46,8 @@ bench-sim:
 		--min-speedup 1.5 --min-fast-speedup 2.5
 
 bench-sim-quick:
-	PYTHONPATH=src python benchmarks/bench_sim_hotpath.py --quick --check
+	PYTHONPATH=src python benchmarks/bench_sim_hotpath.py --quick --check \
+		--output BENCH_sim.quick.json
 
 bench-monitor:
 	PYTHONPATH=src python benchmarks/bench_monitor.py --check

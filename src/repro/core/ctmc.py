@@ -110,7 +110,8 @@ class AbsorbingCTMC:
             raise ValidationError(
                 f"initial state {self.initial_state} must be transient"
             )
-        transient = list(embedded.transient_states)
+        transient = np.asarray(embedded.transient_states, dtype=np.intp)
+        object.__setattr__(self, "_transient_index", transient)
         if np.any(h[transient] <= 0.0) or not np.all(np.isfinite(h[transient])):
             raise ValidationError(
                 "residence times of transient states must be positive and "
@@ -121,7 +122,9 @@ class AbsorbingCTMC:
         # series algorithm (which skips b == a, Section 4.2.1) consistent
         # with the exact embedded-chain analysis.  Use
         # :func:`remove_self_loops` to fold designer-level retry loops in.
-        loopy = [self.state_names[i] for i in transient if p[i, i] > 0.0]
+        loops = np.diagonal(p)[transient] > 0.0
+        loopy = [self.state_names[transient[row]]
+                 for row in np.flatnonzero(loops)]
         if loopy:
             raise ValidationError(
                 "transient states must not have self-transitions "
@@ -153,9 +156,9 @@ class AbsorbingCTMC:
 
     def departure_rates(self) -> np.ndarray:
         """Rates ``v_i = 1 / H_i`` (0 for the absorbing state)."""
+        transient = self._transient_index
         rates = np.zeros(self.num_states)
-        for i in self.transient_states:
-            rates[i] = 1.0 / self.residence_times[i]
+        rates[transient] = 1.0 / self.residence_times[transient]
         return rates
 
     def transition_rates(self) -> np.ndarray:
@@ -185,22 +188,20 @@ class AbsorbingCTMC:
 
         Returns a full-length vector with 0 at the absorbing state.
         """
-        transient = list(self.transient_states)
+        transient = self._transient_index
         v = self.departure_rates()
         q = self.transition_rates()
         k = len(transient)
-        a = np.zeros((k, k))
-        for row, i in enumerate(transient):
-            a[row, row] = -v[i]
-            for column, j in enumerate(transient):
-                if j != i:
-                    a[row, column] += q[i, j]
+        # Off the diagonal, ``a[r, c] = 0.0 + q[i, j]``: adding to 0.0 maps
+        # a -0.0 rate to 0.0, so ``a`` is bitwise the matrix built by
+        # accumulating each rate into a zeroed one.
+        a = 0.0 + q[np.ix_(transient, transient)]
+        np.fill_diagonal(a, -v[transient])
         b = np.full(k, -1.0)
         with obs.span("ctmc.first_passage", size=k, method=method):
             m = linalg.solve_linear(a, b, method=method)
         result = np.zeros(self.num_states)
-        for row, i in enumerate(transient):
-            result[i] = m[row]
+        result[transient] = m
         return result
 
     def mean_turnaround_time(
@@ -392,10 +393,10 @@ class AbsorbingCTMC:
         the mean turnaround time, which the tests cross-check against the
         first-passage solution of Section 4.1.
         """
+        transient = self._transient_index
         visits = self.expected_visits()
         times = np.zeros(self.num_states)
-        for i in self.transient_states:
-            times[i] = visits[i] * self.residence_times[i]
+        times[transient] = visits[transient] * self.residence_times[transient]
         return times
 
     # ------------------------------------------------------------------

@@ -8,6 +8,11 @@ Two flavours are needed by the paper's method:
   paper's truncated-series algorithm (Section 4.2.1) is verified.
 * **Ergodic chains** — used by the uniformization machinery and the
   availability analysis.
+
+An absorbing chain's structure — which states absorb, which are
+transient, and whether absorption is certain — is computed once, in
+array form, when the chain is built; every later analysis reads the
+stored index tuples instead of rescanning the matrix.
 """
 
 from __future__ import annotations
@@ -57,9 +62,16 @@ class AbsorbingDTMC:
         if len(set(names)) != len(names):
             raise ValidationError("state names must be unique")
         object.__setattr__(self, "state_names", tuple(names))
-        if not self.absorbing_states:
+        absorbing = np.diagonal(p) >= 1.0 - 1e-12
+        object.__setattr__(
+            self, "_absorbing", tuple(np.flatnonzero(absorbing).tolist())
+        )
+        object.__setattr__(
+            self, "_transient", tuple(np.flatnonzero(~absorbing).tolist())
+        )
+        if not self._absorbing:
             raise ModelError("chain has no absorbing state")
-        self._validate_absorption_is_certain()
+        self._validate_absorption_is_certain(absorbing)
 
     # ------------------------------------------------------------------
     # Structure
@@ -72,38 +84,35 @@ class AbsorbingDTMC:
     @property
     def absorbing_states(self) -> tuple[int, ...]:
         """Indices ``i`` with ``P[i, i] == 1`` (within tolerance)."""
-        p = self.transition_matrix
-        return tuple(
-            i for i in range(p.shape[0]) if p[i, i] >= 1.0 - 1e-12
-        )
+        return self._absorbing
 
     @property
     def transient_states(self) -> tuple[int, ...]:
         """Indices of the non-absorbing states."""
-        absorbing = set(self.absorbing_states)
-        return tuple(i for i in range(self.num_states) if i not in absorbing)
+        return self._transient
 
-    def _validate_absorption_is_certain(self) -> None:
+    def _validate_absorption_is_certain(self, absorbing: np.ndarray) -> None:
         """Check every transient state reaches some absorbing state.
 
         The paper assumes first-passage probabilities into the absorbing
         state equal one; a workflow whose chain violates this (e.g. a loop
         with no exit) is a specification error that must be reported.
+        ``absorbing`` is the boolean mask of the absorbing states.
         """
-        p = self.transition_matrix
-        reachable = set(self.absorbing_states)
-        # Backward breadth-first search over P's support.
-        changed = True
-        while changed:
-            changed = False
-            for i in self.transient_states:
-                if i in reachable:
-                    continue
-                if any(p[i, j] > 0.0 for j in reachable):
-                    reachable.add(i)
-                    changed = True
-        trapped = [self.state_names[i] for i in self.transient_states
-                   if i not in reachable]
+        support = self.transition_matrix > 0.0
+        # Backward fixed point over P's support: a state reaches absorption
+        # once it has an edge into a state already known to reach it
+        # (``support @ reachable`` is the boolean "any edge into" test).
+        reachable = absorbing
+        count = np.count_nonzero(reachable)
+        while True:
+            reachable = reachable | (support @ reachable)
+            grown = np.count_nonzero(reachable)
+            if grown == count:
+                break
+            count = grown
+        trapped = [self.state_names[i] for i in self._transient
+                   if not reachable[i]]
         if trapped:
             raise ModelError(
                 "absorption is not certain: states cannot reach an "
@@ -138,12 +147,10 @@ class AbsorbingDTMC:
         in which entering the initial state incurs its load once.
         """
         self._require_transient(start)
-        transient = list(self.transient_states)
+        transient = self.transient_states
         n = self.fundamental_matrix()
         visits = np.zeros(self.num_states)
-        row = transient.index(start)
-        for column, state in enumerate(transient):
-            visits[state] = n[row, column]
+        visits[list(transient)] = n[transient.index(start)]
         return visits
 
     def expected_steps_to_absorption(self, start: int = 0) -> float:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Literal
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from repro import obs
 from repro.exceptions import ConvergenceError, ValidationError
@@ -51,7 +50,11 @@ def _forward_substitution(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     One Gauss-Seidel sweep is exactly this triangular solve with
     ``lower = D + L`` and ``rhs = b - U x_old``; routing it through
     LAPACK turns the pure-Python inner loop into one vectorized kernel.
+    scipy is imported here, on first use: no analysis on the default
+    (direct) path needs it, and importing it dominates start-up time.
     """
+    from scipy.linalg import solve_triangular
+
     return solve_triangular(lower, rhs, lower=True, check_finite=False)
 
 

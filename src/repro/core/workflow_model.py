@@ -144,15 +144,15 @@ class WorkflowDefinition:
         _ = self.final_state
 
     def _validate_outgoing_probabilities(self) -> None:
+        # One pass groups the probabilities by source, in transition order,
+        # so each state's total is the same ``sum`` over the same list.
+        outgoing: dict[str, list[float]] = {}
+        for (source, _), probability in self.transitions.items():
+            outgoing.setdefault(source, []).append(probability)
         for state in self.states:
-            outgoing = [
-                probability
-                for (source, _), probability in self.transitions.items()
-                if source == state.name
-            ]
-            if not outgoing:
+            if state.name not in outgoing:
                 continue  # final state
-            total = sum(outgoing)
+            total = sum(outgoing[state.name])
             if abs(total - 1.0) > 1e-9:
                 raise ValidationError(
                     f"workflow {self.name}: outgoing probabilities of "

@@ -14,16 +14,28 @@ Checks the properties the stochastic translation (Section 3.2) relies on:
 
 :func:`validate_chart` returns the list of issues; :func:`ensure_valid`
 raises :class:`~repro.exceptions.ValidationError` on the first error.
+
+Charts are validated once: a chart that passes :func:`ensure_valid` is
+marked (charts are immutable), so a later check of it or of any chart
+that nests it skips the region trees already known to be valid.  A
+lowering that validates each region when it is built and the whole tree
+again at every enclosing level therefore checks every chart once.  A
+chart that failed is never marked.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.exceptions import ValidationError
 from repro.spec.events import SetCondition
 from repro.spec.statechart import StateChart
+
+
+#: Instance attribute set on a chart whose whole tree passed ensure_valid.
+_VALID_MARK = "_ensured_valid"
 
 
 class IssueLevel(enum.Enum):
@@ -55,14 +67,38 @@ def validate_chart(chart: StateChart) -> list[ChartIssue]:
 
 
 def ensure_valid(chart: StateChart) -> None:
-    """Raise :class:`ValidationError` if the chart has any error."""
-    issues = validate_chart(chart)
-    errors = [issue for issue in issues if issue.level is IssueLevel.ERROR]
+    """Raise :class:`ValidationError` if the chart has any error.
+
+    Only errors are checked (the guard-variable heuristic yields warnings
+    alone; :func:`validate_chart` still reports them).  On success the
+    chart and its regions are marked valid, and later calls skip them.
+    """
+    unchecked = list(_unchecked_charts(chart))
+    errors = [
+        issue
+        for sub_chart in unchecked
+        for issue in _validate_single_chart(sub_chart)
+        if issue.level is IssueLevel.ERROR
+    ]
     if errors:
         raise ValidationError(
             "invalid state chart:\n"
             + "\n".join(f"  {issue}" for issue in errors)
         )
+    for sub_chart in unchecked:
+        # The mark is an instance attribute, not a dataclass field, so it
+        # takes no part in ``==``, ``repr`` or serialization.
+        object.__setattr__(sub_chart, _VALID_MARK, True)
+
+
+def _unchecked_charts(chart: StateChart) -> Iterator[StateChart]:
+    """:meth:`StateChart.walk_charts`, minus subtrees already marked valid."""
+    if getattr(chart, _VALID_MARK, False):
+        return
+    yield chart
+    for state in chart.states:
+        for region in state.regions:
+            yield from _unchecked_charts(region)
 
 
 def _validate_single_chart(chart: StateChart) -> list[ChartIssue]:

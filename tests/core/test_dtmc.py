@@ -39,6 +39,43 @@ class TestStructure:
         with pytest.raises(ModelError, match="absorption is not certain"):
             AbsorbingDTMC(p)
 
+    def test_trapped_state_message_lists_states_in_index_order(self):
+        # b and d cycle, c feeds only into the cycle, and a jumps either
+        # into it or straight to the absorbing e.  The trapped states are
+        # reported in index order; a, which can reach e, is not one.
+        p = np.array(
+            [
+                [0.0, 0.5, 0.0, 0.0, 0.5],
+                [0.0, 0.0, 0.0, 1.0, 0.0],
+                [0.0, 0.0, 0.0, 1.0, 0.0],
+                [0.0, 1.0, 0.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 0.0, 1.0],
+            ]
+        )
+        with pytest.raises(ModelError) as raised:
+            AbsorbingDTMC(p, state_names=("a", "b", "c", "d", "e"))
+        assert str(raised.value) == (
+            "absorption is not certain: states cannot reach an absorbing "
+            "state: ['b', 'c', 'd']"
+        )
+
+    def test_long_chain_reaches_absorption(self):
+        # Reachability must propagate backwards through every link of a
+        # long sequence, not just one step from the absorbing state.
+        n = 40
+        p = np.zeros((n, n))
+        for i in range(n - 1):
+            p[i, i + 1] = 1.0
+        p[n - 1, n - 1] = 1.0
+        chain = AbsorbingDTMC(p)
+        assert chain.transient_states == tuple(range(n - 1))
+        assert chain.absorbing_states == (n - 1,)
+
+    def test_structure_indices_are_python_ints(self):
+        chain = geometric_loop_chain(0.5)
+        assert all(type(i) is int for i in chain.absorbing_states)
+        assert all(type(i) is int for i in chain.transient_states)
+
     def test_duplicate_state_names_rejected(self):
         with pytest.raises(ValidationError):
             AbsorbingDTMC(

@@ -1,8 +1,14 @@
 """Tests for the linear-algebra kernel."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import linalg
 from repro.exceptions import ConvergenceError, ValidationError
 
@@ -153,3 +159,24 @@ class TestStochasticValidation:
             linalg.validate_stochastic_matrix(
                 np.array([[-0.1, 1.1], [0.0, 1.0]])
             )
+
+
+class TestScipyIsImportedOnUse:
+    def test_cli_and_service_import_without_scipy(self):
+        # Only Gauss-Seidel and the sparse availability solver use scipy;
+        # importing the entry points must not pay its start-up cost.
+        code = (
+            "import sys, repro.cli, repro.service\n"
+            "print(sorted(name for name in sys.modules\n"
+            "             if name.split('.')[0] == 'scipy'))"
+        )
+        source_root = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [source_root] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert result.stdout.strip() == "[]"

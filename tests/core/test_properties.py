@@ -12,6 +12,7 @@ from repro.core.availability import (
     RepairPolicy,
     ServerPoolAvailability,
 )
+from repro.core import linalg
 from repro.core.ctmc import AbsorbingCTMC
 from repro.core.dtmc import AbsorbingDTMC
 from repro.core.evaluation_cache import EvaluationCache
@@ -24,7 +25,7 @@ from repro.core.goals import (
 from repro.core.model_types import ServerTypeIndex, ServerTypeSpec
 from repro.core.performability import DegradedStatePolicy, PerformabilityModel
 from repro.core.performance import PerformanceModel, SystemConfiguration
-from repro.exceptions import ValidationError
+from repro.exceptions import ModelError, ValidationError
 from repro.queueing import (
     mean_population,
     mg1_mean_waiting_time,
@@ -131,6 +132,136 @@ class TestEmbeddedChainProperties:
             chain.initial_state
         )
         assert sum(probabilities_.values()) == pytest.approx(1.0)
+
+
+# ----------------------------------------------------------------------
+# Workflow-CTMC kernel: array form vs a per-state reference loop
+# ----------------------------------------------------------------------
+@st.composite
+def raw_absorbing_chains(draw, max_states=6):
+    """``(P, H, initial)`` of a chain with one absorbing state (the last).
+
+    Each transient row jumps to a random non-empty set of other states,
+    so some states are unreachable from ``initial`` and some cycle
+    without an exit (absorption is then not certain).
+    """
+    n = draw(st.integers(min_value=1, max_value=max_states))
+    p = np.zeros((n + 1, n + 1))
+    for i in range(n):
+        others = [j for j in range(n + 1) if j != i]
+        targets = draw(st.lists(st.sampled_from(others), min_size=1,
+                                max_size=3, unique=True))
+        weights = [draw(st.floats(0.05, 1.0)) for _ in targets]
+        total = sum(weights)
+        for j, weight in zip(targets, weights):
+            p[i, j] = weight / total
+    p[n, n] = 1.0
+    residences = np.array(
+        [draw(st.floats(min_value=0.1, max_value=20.0)) for _ in range(n)]
+        + [np.inf]
+    )
+    return p, residences, draw(st.integers(min_value=0, max_value=n - 1))
+
+
+def _reference_trapped(p):
+    """State indices that cannot reach absorption: backward search."""
+    n = p.shape[0]
+    absorbing = [i for i in range(n) if p[i, i] >= 1.0 - 1e-12]
+    transient = [i for i in range(n) if i not in absorbing]
+    reachable = set(absorbing)
+    changed = True
+    while changed:
+        changed = False
+        for i in transient:
+            if i not in reachable and any(p[i, j] > 0.0 for j in reachable):
+                reachable.add(i)
+                changed = True
+    return [i for i in transient if i not in reachable]
+
+
+def _reference_kernel(chain, method):
+    """The kernel's outputs computed one state at a time."""
+    p = chain.jump_probabilities
+    transient = [i for i in range(chain.num_states)
+                 if p[i, i] < 1.0 - 1e-12]
+    h = chain.residence_times
+    v = np.zeros(chain.num_states)
+    for i in transient:
+        v[i] = 1.0 / h[i]
+    q = chain.transition_rates()
+    k = len(transient)
+    a = np.zeros((k, k))
+    for row, i in enumerate(transient):
+        a[row, row] = -v[i]
+        for column, j in enumerate(transient):
+            if j != i:
+                a[row, column] += q[i, j]
+    m = linalg.solve_linear(a, np.full(k, -1.0), method=method)
+    passage = np.zeros(chain.num_states)
+    for row, i in enumerate(transient):
+        passage[i] = m[row]
+    n_matrix = chain.embedded_chain.fundamental_matrix()
+    visits = np.zeros(chain.num_states)
+    start = transient.index(chain.initial_state)
+    for column, state in enumerate(transient):
+        visits[state] = n_matrix[start, column]
+    times = np.zeros(chain.num_states)
+    for i in transient:
+        times[i] = visits[i] * h[i]
+    return {"departure_rates": v, "first_passage_times": passage,
+            "expected_visits": visits, "expected_time_in_states": times}
+
+
+def _assert_same_bits(actual, expected):
+    assert np.array_equal(actual, expected)
+    assert repr(actual.tolist()) == repr(expected.tolist())
+
+
+TRAPPED_EXAMPLE = (
+    # s1 and s2 cycle forever; s0 escapes to the absorbing s3.
+    np.array([[0.0, 0.5, 0.0, 0.5], [0.0, 0.0, 1.0, 0.0],
+              [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+    np.array([1.0, 2.0, 3.0, np.inf]),
+    0,
+)
+UNREACHABLE_EXAMPLE = (
+    # Nothing jumps into s2, which is transient but never visited.
+    np.array([[0.0, 0.7, 0.0, 0.3], [0.4, 0.0, 0.0, 0.6],
+              [0.5, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 1.0]]),
+    np.array([1.0, 2.0, 3.0, np.inf]),
+    1,
+)
+
+
+class TestKernelMatchesReferenceLoops:
+    @given(raw=raw_absorbing_chains(),
+           method=st.sampled_from(["direct", "gauss_seidel"]))
+    @example(raw=TRAPPED_EXAMPLE, method="direct")
+    @example(raw=UNREACHABLE_EXAMPLE, method="direct")
+    @example(raw=UNREACHABLE_EXAMPLE, method="gauss_seidel")
+    @settings(max_examples=120, deadline=None)
+    def test_bitwise_equal_to_reference(self, raw, method):
+        p, residences, initial = raw
+        names = tuple(f"s{i}" for i in range(p.shape[0]))
+        trapped = _reference_trapped(p)
+        if trapped:
+            with pytest.raises(ModelError) as raised:
+                AbsorbingCTMC(p, residences, initial_state=initial)
+            assert str(raised.value) == (
+                "absorption is not certain: states cannot reach an "
+                f"absorbing state: {[names[i] for i in trapped]}"
+            )
+            return
+        chain = AbsorbingCTMC(p, residences, initial_state=initial)
+        expected = _reference_kernel(chain, method)
+        _assert_same_bits(chain.departure_rates(),
+                          expected["departure_rates"])
+        _assert_same_bits(chain.first_passage_times(method),
+                          expected["first_passage_times"])
+        _assert_same_bits(chain.expected_visits(),
+                          expected["expected_visits"])
+        _assert_same_bits(chain.expected_time_in_states(),
+                          expected["expected_time_in_states"])
 
 
 # ----------------------------------------------------------------------

@@ -205,3 +205,128 @@ class TestEnsureValid:
         )
         with pytest.raises(ValidationError):
             outer.build()
+
+
+def _cycle_chart(name):
+    """A two-state cycle: no final state, so the chart is invalid."""
+    return StateChart(
+        name=name,
+        states=(ChartState("x", mean_duration=1.0),
+                ChartState("y", mean_duration=1.0)),
+        transitions=(ChartTransition("x", "y"), ChartTransition("y", "x")),
+        initial_state="x",
+    )
+
+
+def _line_chart(name):
+    """A valid two-state chart."""
+    return StateChart(
+        name=name,
+        states=(ChartState("x", mean_duration=1.0),
+                ChartState("y", mean_duration=1.0)),
+        transitions=(ChartTransition("x", "y"),),
+        initial_state="x",
+    )
+
+
+def _host_chart(*regions):
+    """A valid outer chart whose first state nests ``regions``."""
+    return StateChart(
+        name="outer",
+        states=(ChartState("host", regions=tuple(regions)),
+                ChartState("end", mean_duration=1.0)),
+        transitions=(ChartTransition("host", "end"),),
+        initial_state="host",
+    )
+
+
+@pytest.fixture
+def single_chart_checks(monkeypatch):
+    """Names of the charts ``_validate_single_chart`` checks, in order."""
+    from repro.spec import validation
+
+    checked = []
+    original = validation._validate_single_chart
+
+    def counting(chart):
+        checked.append(chart.name)
+        return original(chart)
+
+    monkeypatch.setattr(validation, "_validate_single_chart", counting)
+    return checked
+
+
+class TestValidateOnce:
+    def test_invalid_nested_region_message_unchanged(self):
+        # A valid region that already passed is skipped, but the invalid
+        # sibling is still reported with the full message.
+        good = _line_chart("good")
+        ensure_valid(good)
+        outer = _host_chart(good, _cycle_chart("bad"))
+        with pytest.raises(ValidationError) as raised:
+            ensure_valid(outer)
+        assert str(raised.value) == (
+            "invalid state chart:\n"
+            "  [error] bad: no final state (every state has outgoing "
+            "transitions)"
+        )
+
+    def test_failed_chart_is_checked_again(self, single_chart_checks):
+        outer = _host_chart(_cycle_chart("bad"))
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="bad: no final"):
+                ensure_valid(outer)
+        assert single_chart_checks == ["outer", "bad"] * 2
+
+    def test_passed_chart_is_not_checked_again(self, single_chart_checks):
+        region = _line_chart("region")
+        ensure_valid(region)
+        outer = _host_chart(region)
+        ensure_valid(outer)
+        ensure_valid(outer)
+        assert single_chart_checks == ["region", "outer"]
+
+    def test_validate_chart_still_warns_after_ensure_valid(self):
+        from repro.spec.events import ECARule
+
+        chart = chart_without_validation(
+            [ChartState("a", mean_duration=1.0),
+             ChartState("b", mean_duration=1.0)],
+            [ChartTransition("a", "b", rule=ECARule(guard=Var("External")))],
+            "a",
+        )
+        ensure_valid(chart)
+        assert any("never set" in issue.message
+                   for issue in warnings_of(chart))
+
+    def test_mark_is_invisible_to_equality_repr_and_serialization(self):
+        from repro.io.chart_serialization import chart_to_dict
+
+        checked = _host_chart(_line_chart("region"))
+        fresh = _host_chart(_line_chart("region"))
+        ensure_valid(checked)
+        assert checked == fresh
+        assert hash(checked) == hash(fresh)
+        assert repr(checked) == repr(fresh)
+        assert chart_to_dict(checked) == chart_to_dict(fresh)
+
+    def test_lowering_and_translation_check_each_chart_once(
+        self, single_chart_checks
+    ):
+        from repro.scenarios import generate_corpus, spec_to_chart
+        from repro.scenarios.adapters import spec_to_registry
+        from repro.spec.translator import translate_chart
+
+        nested = [
+            spec for spec in generate_corpus(12, master_seed=7)
+            if len(list(spec_to_chart(spec, validate=False).walk_charts()))
+            > 2
+        ]
+        assert nested
+        for spec in nested:
+            single_chart_checks.clear()
+            chart = spec_to_chart(spec)
+            translate_chart(chart, spec_to_registry(spec))
+            assert sorted(single_chart_checks) == sorted(
+                sub_chart.name for sub_chart in chart.walk_charts()
+            )
